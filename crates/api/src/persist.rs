@@ -223,11 +223,11 @@ impl StoreIo for DirIo {
         // The old inode is gone: a cached append handle would keep
         // writing to the unlinked file, so drop it.
         self.handles.lock().expect("DirIo poisoned").remove(file);
-        // Make the rename itself durable.
-        if let Ok(dir) = fs::File::open(&self.root) {
-            let _ = dir.sync_all();
-        }
-        Ok(())
+        // Make the rename itself durable. Until the directory is synced
+        // a crash may undo it, so the caller must see a failure here.
+        fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io_err("fsync", &self.root.display().to_string(), e))
     }
 }
 

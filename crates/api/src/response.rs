@@ -287,9 +287,6 @@ pub struct StatsOutcome {
     pub cache_hits: u64,
     /// Cache misses since the cache was created.
     pub cache_misses: u64,
-    /// Entries currently resident in the cache (kept alongside
-    /// `resident_entries` for wire compatibility).
-    pub cache_entries: u64,
     /// Entries evicted by the cache's budget enforcement since the
     /// cache was created (clears do not count).
     pub evictions: u64,
@@ -667,7 +664,6 @@ fn outcome_to_json(outcome: &QueryOutcome) -> Json {
             Json::Object(vec![
                 ("cache_hits".into(), Json::UInt(s.cache_hits)),
                 ("cache_misses".into(), Json::UInt(s.cache_misses)),
-                ("cache_entries".into(), Json::UInt(s.cache_entries)),
                 ("evictions".into(), Json::UInt(s.evictions)),
                 ("resident_entries".into(), Json::UInt(s.resident_entries)),
                 (
@@ -838,7 +834,6 @@ fn outcome_from_json(value: &Json) -> Result<QueryOutcome, ApiError> {
         "stats" => QueryOutcome::Stats(StatsOutcome {
             cache_hits: u64_field(body, "cache_hits")?,
             cache_misses: u64_field(body, "cache_misses")?,
-            cache_entries: u64_field(body, "cache_entries")?,
             evictions: u64_field(body, "evictions")?,
             resident_entries: u64_field(body, "resident_entries")?,
             resident_bytes_est: u64_field(body, "resident_bytes_est")?,
@@ -980,7 +975,6 @@ mod tests {
                 QueryOutcome::Stats(StatsOutcome {
                     cache_hits: 12,
                     cache_misses: 3,
-                    cache_entries: 3,
                     evictions: 7,
                     resident_entries: 3,
                     resident_bytes_est: 4096,

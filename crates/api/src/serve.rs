@@ -260,6 +260,27 @@ mod tests {
     }
 
     #[test]
+    fn engine_selectors_are_unknown_options() {
+        // The reference engines are selectable only through
+        // `AnalysisOptions` / `MonteCarloConfig`, never per request.
+        let session = Session::new();
+        for (key, value) in [
+            ("solver", "iterative"),
+            ("engine", "materialized"),
+            ("sim_engine", "classic"),
+        ] {
+            let line = format!(
+                "{{\"id\": \"{key}\", \"system\": \"{CHAIN}\", \"options\": {{\"{key}\": \"{value}\"}}}}"
+            );
+            let response = respond_line(&session, &line);
+            assert_eq!(response.id.as_deref(), Some(key));
+            let error = response.outcome.unwrap_err();
+            assert_eq!(error.kind, ApiErrorKind::Request);
+            assert_eq!(error.message, format!("unknown option `{key}`"));
+        }
+    }
+
+    #[test]
     fn over_budget_requests_stream_typed_errors_without_killing_later_ones() {
         // Request 1 exceeds its budget, request 2 (no budget override of
         // its own) succeeds: the stream must answer both, in order.

@@ -373,7 +373,6 @@ impl Session {
         StatsOutcome {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            cache_entries: cache.entries as u64,
             evictions: cache.evictions,
             resident_entries: cache.entries as u64,
             resident_bytes_est: cache.resident_bytes_est,
@@ -447,7 +446,6 @@ impl Session {
             session: self,
             options,
             max_sweeps,
-            sim_engine: request.options.sim_engine.unwrap_or_default(),
             control: &control,
         };
 
@@ -673,12 +671,11 @@ impl Session {
                 .max_combinations
                 .map(|c| c as usize)
                 .unwrap_or(self.options.max_combinations),
-            // Not exposed on the wire: the packing budget is a
-            // deployment-level tightness/latency trade-off, set on the
-            // session.
-            packing_budget: self.options.packing_budget,
-            combination_engine: overrides.engine.unwrap_or(self.options.combination_engine),
-            solver: overrides.solver.unwrap_or(self.options.solver),
+            // Not exposed on the wire, so set on the session: the
+            // packing budget (a deployment-level tightness/latency
+            // trade-off) and the engines (the reference engines serve
+            // differential tests only).
+            ..self.options
         }
     }
 

@@ -26,7 +26,7 @@
 //!
 //! `batch` flags: `--gen N` (analyze `N` generated systems), `--seed S`,
 //! `--profile P` (stress shape of generated systems), `--threads T`,
-//! `--serial`, `--k K1,K2,...`, `--json`, `--progress`.
+//! `--k K1,K2,...`, `--json`, `--progress`.
 //!
 //! `fuzz` generates random scenarios (uniprocessor stress profiles and
 //! distributed topologies, including the `dist-deep` pipeline and
@@ -76,6 +76,9 @@ pub enum CliError {
     /// The conformance fuzzer found oracle violations; the string is
     /// the full report (already containing the shrunk counterexamples).
     Verify(String),
+    /// `twca bench --check` measured regressions against the committed
+    /// baseline; the string lists them, followed by the fresh report.
+    Perf(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -88,6 +91,9 @@ impl std::fmt::Display for CliError {
             CliError::NoSuchChain(name) => write!(f, "no chain named `{name}`"),
             CliError::Api(e) => write!(f, "{e}"),
             CliError::Verify(report) => write!(f, "conformance violations found\n{report}"),
+            CliError::Perf(report) => {
+                write!(f, "performance regressions against the baseline:\n{report}")
+            }
         }
     }
 }
@@ -127,29 +133,6 @@ impl From<twca_dist::DistError> for CliError {
 fn load(path: &str) -> Result<System, CliError> {
     let text = std::fs::read_to_string(path)?;
     Ok(parse_system(&text)?)
-}
-
-/// Parses a `--solver` value (same names as the wire option).
-fn parse_solver(value: &str) -> Result<twca_chains::SolverMode, CliError> {
-    match value {
-        "scheduling-points" => Ok(twca_chains::SolverMode::SchedulingPoints),
-        "iterative" => Ok(twca_chains::SolverMode::Iterative),
-        other => Err(CliError::Usage(format!(
-            "unknown solver `{other}` (expected `scheduling-points` or `iterative`)"
-        ))),
-    }
-}
-
-/// Parses an `--engine` value of `twca sim` (same names as the wire
-/// option).
-fn parse_sim_engine(value: &str) -> Result<twca_sim::SimEngineMode, CliError> {
-    match value {
-        "event-queue" => Ok(twca_sim::SimEngineMode::EventQueue),
-        "classic" => Ok(twca_sim::SimEngineMode::Classic),
-        other => Err(CliError::Usage(format!(
-            "unknown sim engine `{other}` (expected `event-queue` or `classic`)"
-        ))),
-    }
 }
 
 fn chain_id(system: &System, name: &str) -> Result<twca_model::ChainId, CliError> {
@@ -251,14 +234,12 @@ struct SimArgs {
     seed: u64,
     threads: u64,
     chain: Option<String>,
-    engine: Option<twca_sim::SimEngineMode>,
     json: bool,
 }
 
 impl SimArgs {
     const USAGE: &'static str = "twca sim <file> [--runs N] [--horizon H] [--seed S] \
-                                 [--threads T] [--chain NAME] \
-                                 [--engine event-queue|classic] [--json]";
+                                 [--threads T] [--chain NAME] [--json]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut file = None;
@@ -269,7 +250,6 @@ impl SimArgs {
             seed: 0xD1CE,
             threads: 4,
             chain: None,
-            engine: None,
             json: false,
         };
         let mut rest = args.iter();
@@ -301,7 +281,6 @@ impl SimArgs {
                     })?;
                 }
                 "--chain" => parsed.chain = Some(value_of("--chain")?.clone()),
-                "--engine" => parsed.engine = Some(parse_sim_engine(value_of("--engine")?)?),
                 "--json" => parsed.json = true,
                 flag if flag.starts_with("--") => {
                     return Err(CliError::Usage(format!(
@@ -321,8 +300,7 @@ impl SimArgs {
 /// `twca sim`: Monte Carlo simulation through the façade — per-chain
 /// empirical miss rates with 95% confidence intervals, pooled over
 /// `--runs` seeded runs fanned across `--threads` workers. The report
-/// is deterministic in the seed at any thread count; `--engine classic`
-/// selects the retained reference core (bit-identical by construction).
+/// is deterministic in the seed at any thread count.
 ///
 /// # Errors
 ///
@@ -331,19 +309,13 @@ impl SimArgs {
 pub fn cmd_sim(args: &[String]) -> Result<String, CliError> {
     let parsed = SimArgs::parse(args)?;
     let text = std::fs::read_to_string(&parsed.file)?;
-    let mut request = AnalysisRequest::for_system(text).with_query(Query::Simulate {
+    let request = AnalysisRequest::for_system(text).with_query(Query::Simulate {
         chain: parsed.chain.clone(),
         runs: parsed.runs,
         horizon: parsed.horizon,
         seed: parsed.seed,
         threads: parsed.threads,
     });
-    if let Some(engine) = parsed.engine {
-        request = request.with_options(twca_api::RequestOptions {
-            sim_engine: Some(engine),
-            ..Default::default()
-        });
-    }
     let response = Session::new().analyze(&request);
     if parsed.json {
         return Ok(format!("{}\n", response.to_json()));
@@ -505,20 +477,17 @@ struct BatchArgs {
     seed: u64,
     profile: Option<twca_gen::StressProfile>,
     threads: Option<usize>,
-    serial: bool,
     ks: Vec<u64>,
     json: bool,
     progress: bool,
     horizon: u64,
     max_q: u64,
-    solver: twca_chains::SolverMode,
 }
 
 impl BatchArgs {
     const USAGE: &'static str = "twca batch [files...] [--gen N] [--seed S] [--profile P] \
-                                 [--threads T] [--serial] [--k K1,K2,...] [--horizon H] \
-                                 [--max-q Q] [--solver scheduling-points|iterative] [--json] \
-                                 [--progress]";
+                                 [--threads T] [--k K1,K2,...] [--horizon H] [--max-q Q] \
+                                 [--json] [--progress]";
 
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut parsed = BatchArgs {
@@ -527,7 +496,6 @@ impl BatchArgs {
             seed: 42,
             profile: None,
             threads: None,
-            serial: false,
             ks: vec![1, 10, 100],
             json: false,
             progress: false,
@@ -536,7 +504,6 @@ impl BatchArgs {
             // default (divergent fixed points crawl to the horizon).
             horizon: 2_000_000,
             max_q: 20_000,
-            solver: twca_chains::SolverMode::default(),
         };
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
@@ -584,8 +551,6 @@ impl BatchArgs {
                         CliError::Usage("`--max-q` expects an activation count".into())
                     })?;
                 }
-                "--solver" => parsed.solver = parse_solver(value_of("--solver")?)?,
-                "--serial" => parsed.serial = true,
                 "--json" => parsed.json = true,
                 "--progress" => parsed.progress = true,
                 flag if flag.starts_with("--") => {
@@ -612,8 +577,8 @@ impl BatchArgs {
 ///
 /// Inputs are system description files and/or `--gen N` reproducibly
 /// generated random systems. Output is a per-system summary table, or a
-/// JSON document with `--json`. `--serial` forces the single-threaded
-/// reference path (bit-identical results, for comparison).
+/// JSON document with `--json`. Results are bit-identical at any
+/// `--threads` count.
 ///
 /// # Errors
 ///
@@ -644,7 +609,6 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     let options = twca_chains::AnalysisOptions {
         horizon: parsed.horizon,
         max_q: parsed.max_q,
-        solver: parsed.solver,
         ..twca_chains::AnalysisOptions::default()
     };
     // One façade session owns the cache and options; the engine is a
@@ -655,19 +619,12 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     if let Some(threads) = parsed.threads {
         engine = engine.with_threads(threads);
     }
-    if parsed.serial {
-        engine = engine.with_threads(1);
-    }
     if parsed.progress {
         engine = engine.with_progress(|done, total| {
             eprintln!("batch: {done}/{total} systems analyzed");
         });
     }
-    let batch = if parsed.serial {
-        engine.run_serial(systems)
-    } else {
-        engine.run(systems)
-    };
+    let batch = engine.run(systems);
 
     if parsed.json {
         return Ok(twca_engine::batch_to_json(
@@ -705,7 +662,7 @@ pub fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         out,
         "analyzed {} system(s) on {} thread(s); cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
         batch.len(),
-        if parsed.serial { 1 } else { engine.effective_threads() },
+        engine.effective_threads(),
         stats.hits,
         stats.misses,
         stats.hit_ratio() * 100.0,
@@ -720,7 +677,6 @@ struct ServeArgs {
     budget: Option<u64>,
     horizon: Option<u64>,
     max_q: Option<u64>,
-    solver: Option<twca_chains::SolverMode>,
     listen: Option<String>,
     workers: Option<usize>,
     queue: Option<usize>,
@@ -735,8 +691,7 @@ struct ServeArgs {
 
 impl ServeArgs {
     const USAGE: &'static str = "twca serve [--file F] [--budget UNITS] [--horizon H] [--max-q Q] \
-                                 [--solver scheduling-points|iterative] [--listen ADDR] \
-                                 [--workers N] [--queue N] [--deadline-ms MS] \
+                                 [--listen ADDR] [--workers N] [--queue N] [--deadline-ms MS] \
                                  [--read-timeout MS] [--idle-timeout MS] [--write-buffer BYTES] \
                                  [--cache-entries N] [--cache-bytes B] [--store-dir DIR]";
 
@@ -746,7 +701,6 @@ impl ServeArgs {
             budget: None,
             horizon: None,
             max_q: None,
-            solver: None,
             listen: None,
             workers: None,
             queue: None,
@@ -784,7 +738,6 @@ impl ServeArgs {
                         CliError::Usage("`--max-q` expects an activation count".into())
                     })?);
                 }
-                "--solver" => parsed.solver = Some(parse_solver(value_of("--solver")?)?),
                 "--listen" => parsed.listen = Some(value_of("--listen")?.clone()),
                 "--workers" => {
                     parsed.workers = Some(value_of("--workers")?.parse().map_err(|_| {
@@ -849,7 +802,6 @@ impl ServeArgs {
         let mut session = Session::new().with_options(twca_chains::AnalysisOptions {
             horizon: self.horizon.unwrap_or(defaults.horizon),
             max_q: self.max_q.unwrap_or(defaults.max_q),
-            solver: self.solver.unwrap_or(defaults.solver),
             ..defaults
         });
         if let Some(budget) = self.budget {
@@ -1692,12 +1644,11 @@ impl BenchCliArgs {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for bad flags, [`CliError::Io`] for
-/// unreadable/unwritable files, and [`CliError::Verify`] with the
+/// unreadable/unwritable files, and [`CliError::Perf`] with the
 /// regression list when `--check` fails.
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     use twca_bench::runner::{
-        check_against, run_bench, run_delta_bench, run_persist_bench, run_service_bench,
-        BenchReport,
+        run_bench, run_delta_bench, run_persist_bench, run_service_bench, BenchReport,
     };
 
     let parsed = BenchCliArgs::parse(args)?;
@@ -1725,20 +1676,31 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         std::fs::write(path, &json)?;
     }
     if let Some(baseline) = baseline {
-        let regressions = check_against(&report, &baseline, 1.5);
-        if !regressions.is_empty() {
-            let mut out = String::from("performance regressions against the baseline:\n");
-            for regression in &regressions {
-                let _ = writeln!(out, "  {regression}");
-            }
-            out.push_str(&report.render());
-            return Err(CliError::Verify(out));
-        }
+        perf_gate(&report, &baseline)?;
     }
     if parsed.json {
         return Ok(json);
     }
     Ok(report.render())
+}
+
+/// The `--check` gate: [`CliError::Perf`] listing every regression of
+/// `report` against `baseline` (1.5x tolerance after machine-speed
+/// normalization), followed by the fresh report.
+fn perf_gate(
+    report: &twca_bench::runner::BenchReport,
+    baseline: &twca_bench::runner::BenchReport,
+) -> Result<(), CliError> {
+    let regressions = twca_bench::runner::check_against(report, baseline, 1.5);
+    if regressions.is_empty() {
+        return Ok(());
+    }
+    let mut out = String::new();
+    for regression in &regressions {
+        let _ = writeln!(out, "  {regression}");
+    }
+    out.push_str(&report.render());
+    Err(CliError::Perf(out))
 }
 
 /// Dispatches a full argument vector (excluding the program name).
@@ -1928,11 +1890,6 @@ chain recovery sporadic=1000 overload {
         // Only deadline chains appear by default.
         assert!(!out.contains("recovery"));
 
-        // The classic engine renders the identical report.
-        let mut classic = base.clone();
-        classic.extend(args(&["--engine", "classic"]));
-        assert_eq!(run(&classic).unwrap(), out);
-
         // --chain restricts the table; unknown names are typed errors.
         let mut one = base.clone();
         one.extend(args(&["--chain", "recovery"]));
@@ -1942,10 +1899,6 @@ chain recovery sporadic=1000 overload {
         ghost.extend(args(&["--chain", "ghost"]));
         assert!(matches!(run(&ghost), Err(CliError::Api(_))));
 
-        assert!(matches!(
-            cmd_sim(&args(&[&p, "--engine", "turbo"])),
-            Err(CliError::Usage(_))
-        ));
         assert!(matches!(
             cmd_sim(&args(&[&p, "--runs", "many"])),
             Err(CliError::Usage(_))
@@ -2221,7 +2174,15 @@ chain diag sporadic=1500 overload {
         ]))
         .unwrap();
         let serial = cmd_batch(&args(&[
-            "--gen", "12", "--seed", "3", "--k", "1,10", "--serial", "--json",
+            "--gen",
+            "12",
+            "--seed",
+            "3",
+            "--k",
+            "1,10",
+            "--threads",
+            "1",
+            "--json",
         ]))
         .unwrap();
         assert_eq!(parallel, serial, "parallel JSON must be byte-identical");
@@ -2266,31 +2227,18 @@ chain diag sporadic=1500 overload {
     }
 
     #[test]
-    fn batch_solver_flag_is_observably_inert() {
-        let default_run = cmd_batch(&args(&[
-            "--gen", "4", "--seed", "9", "--k", "1,10", "--json",
-        ]))
-        .unwrap();
-        let iterative = cmd_batch(&args(&[
-            "--gen",
-            "4",
-            "--seed",
-            "9",
-            "--k",
-            "1,10",
-            "--solver",
-            "iterative",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            default_run, iterative,
-            "the solvers must be byte-identical through the whole batch pipeline"
-        );
-        assert!(matches!(
-            cmd_batch(&args(&["--gen", "1", "--solver", "quantum"])),
-            Err(CliError::Usage(_))
-        ));
+    fn engine_selector_flags_are_gone() {
+        // The reference engines are selectable only through
+        // `AnalysisOptions` / `MonteCarloConfig`; `--serial` is
+        // `--threads 1`.
+        for removed in [
+            cmd_batch(&args(&["--gen", "1", "--solver", "iterative"])),
+            cmd_batch(&args(&["--gen", "1", "--serial"])),
+            cmd_serve(&args(&["--solver", "iterative"]), &b""[..], Vec::new()),
+            cmd_sim(&args(&["system.twca", "--engine", "classic"])),
+        ] {
+            assert!(matches!(removed, Err(CliError::Usage(_))), "{removed:?}");
+        }
     }
 
     #[test]
@@ -2353,6 +2301,29 @@ chain diag sporadic=1500 overload {
             cmd_bench(&args(&["--check", "/nonexistent/baseline.json"])),
             Err(CliError::Io(_))
         ));
+    }
+
+    #[test]
+    fn perf_gate_misses_are_perf_errors() {
+        use twca_bench::runner::{BenchEntry, BenchReport};
+        let report = |best_ns| BenchReport {
+            seed: 42,
+            quick: true,
+            entries: vec![BenchEntry {
+                id: "table2_dmm/k10".into(),
+                best_ns,
+                samples: 1,
+            }],
+            overload_heavy_speedup: 0.0,
+            service_requests_per_sec: None,
+        };
+        assert!(perf_gate(&report(100), &report(100)).is_ok());
+        let miss = perf_gate(&report(1_000), &report(100)).unwrap_err();
+        assert!(matches!(miss, CliError::Perf(_)));
+        let message = miss.to_string();
+        let head = "performance regressions against the baseline:\n  `table2_dmm/k10` regressed";
+        assert!(message.starts_with(head), "{message}");
+        assert!(!message.contains("conformance"), "{message}");
     }
 
     #[test]

@@ -20,13 +20,21 @@ fn batch_json_is_byte_identical_to_the_pre_facade_output() {
     assert_eq!(actual, expected, "batch JSON drifted from the PR 1 bytes");
 }
 
-/// The serial path renders the same bytes (input-ordered results and a
+/// A single-thread run renders the same bytes (input-ordered results and a
 /// schedule-independent cache section).
 #[test]
 fn serial_batch_json_matches_the_fixture_too() {
     let expected = include_str!("fixtures/batch_gen6_seed3.json");
     let actual = cmd_batch(&args(&[
-        "--gen", "6", "--seed", "3", "--k", "1,10", "--serial", "--json",
+        "--gen",
+        "6",
+        "--seed",
+        "3",
+        "--k",
+        "1,10",
+        "--threads",
+        "1",
+        "--json",
     ]))
     .expect("batch run succeeds");
     assert_eq!(actual, expected);

@@ -1005,6 +1005,10 @@ pub(crate) mod tests {
         let sink = SharedSink::default();
         let conn = Connection::new(Box::new(sink.clone()));
         pool.submit(&conn, 0, request_line("warm"));
+        // A worker counts a request as served before delivering it, so
+        // once seq 0 has retired the stats job must see it, whichever
+        // worker runs that job.
+        conn.await_retired(1);
         pool.submit(&conn, 1, "{\"queries\": [{\"stats\": {}}]}".into());
         pool.shutdown();
         let last = sink.text().lines().last().unwrap().to_owned();
