@@ -605,7 +605,7 @@ impl Session {
                 let sites: Vec<_> = system.sites().collect();
                 env.control
                     .charge(sites.len() as u64 * (1 + ks.len() as u64))?;
-                let (results, report) = analyze_with_memo(system, env.dist_options(), &entry.memo)?;
+                let (results, report) = analyze_with_memo(system, env.dist_options(), &self.cache)?;
                 let mut latency = Vec::new();
                 let mut dmm = Vec::new();
                 for site in sites {
@@ -842,63 +842,75 @@ chain recovery sporadic=1000 overload {
         );
     }
 
-    #[test]
-    fn store_queries_version_diff_and_delta_analyze() {
-        let session = Session::new();
-        // A 6-stage pipeline; the edit touches only the tail resource,
-        // so everything upstream stays memo-warm on re-analysis.
-        let dist = |tail_wcet: u64| {
-            let mut text = String::new();
-            for i in 0..6 {
-                let wcet = if i == 5 { tail_wcet } else { 10 };
-                text.push_str(&format!(
-                    "resource r{i} {{ chain c{i} periodic=100 deadline=400 \
-                     {{ task t{i} prio=1 wcet={wcet} }} }}\n"
-                ));
-            }
-            for i in 0..5 {
-                text.push_str(&format!("link r{i}/c{i} -> r{}/c{}\n", i + 1, i + 1));
-            }
-            text
-        };
-        let put = |text: String| AnalysisRequest {
+    /// A 6-stage linked pipeline whose tail stage runs `tail_wcet`.
+    fn pipeline(tail_wcet: u64) -> String {
+        let mut text = String::new();
+        for i in 0..6 {
+            let wcet = if i == 5 { tail_wcet } else { 10 };
+            text.push_str(&format!(
+                "resource r{i} {{ chain c{i} periodic=100 deadline=400 \
+                 {{ task t{i} prio=1 wcet={wcet} }} }}\n"
+            ));
+        }
+        for i in 0..5 {
+            text.push_str(&format!("link r{i}/c{i} -> r{}/c{}\n", i + 1, i + 1));
+        }
+        text
+    }
+
+    /// A `store_put` of distributed `text` under `name`.
+    fn put_dist(name: &str, text: String) -> AnalysisRequest {
+        AnalysisRequest {
             id: None,
             target: Target::Service,
             queries: vec![Query::StorePut {
-                name: "grid".into(),
+                name: name.into(),
                 system: None,
                 dist: Some(text),
                 dedup: None,
             }],
             options: RequestOptions::default(),
-        };
-        let analyze = AnalysisRequest {
+        }
+    }
+
+    /// Runs a `store_analyze` of `name` at `k ∈ {1, 10}`.
+    fn analyze_stored(session: &Session, name: &str) -> StoreAnalyzeOutcome {
+        let request = AnalysisRequest {
             id: None,
             target: Target::Service,
             queries: vec![Query::StoreAnalyze {
-                name: "grid".into(),
+                name: name.into(),
                 ks: vec![1, 10],
             }],
             options: RequestOptions::default(),
         };
+        match session.analyze(&request).outcome.unwrap().remove(0) {
+            QueryOutcome::StoreAnalyze(outcome) => outcome,
+            other => panic!("expected store_analyze outcome, got {other:?}"),
+        }
+    }
 
-        let outcomes = session.analyze(&put(dist(10))).outcome.unwrap();
+    #[test]
+    fn store_queries_version_diff_and_delta_analyze() {
+        let session = Session::new();
+        // The edit touches only the tail resource, so everything
+        // upstream stays memo-warm on re-analysis.
+        let put = |text: String| put_dist("grid", text);
+
+        let outcomes = session.analyze(&put(pipeline(10))).outcome.unwrap();
         let QueryOutcome::StorePut(receipt) = &outcomes[0] else {
             panic!("expected store_put outcome");
         };
         assert_eq!((receipt.version, receipt.resources_changed), (1, 0));
 
-        let outcomes = session.analyze(&analyze).outcome.unwrap();
-        let QueryOutcome::StoreAnalyze(cold) = &outcomes[0] else {
-            panic!("expected store_analyze outcome");
-        };
+        let cold = analyze_stored(&session, "grid");
         assert_eq!(cold.version, 1);
         assert_eq!(cold.latency.len(), 6);
         assert_eq!(cold.dmm.len(), 6);
         assert!(cold.rows_analyzed > 0);
 
         // Editing one task's WCET dirties exactly one resource...
-        let outcomes = session.analyze(&put(dist(11))).outcome.unwrap();
+        let outcomes = session.analyze(&put(pipeline(11))).outcome.unwrap();
         let QueryOutcome::StorePut(receipt) = &outcomes[0] else {
             panic!("expected store_put outcome");
         };
@@ -913,10 +925,7 @@ chain recovery sporadic=1000 overload {
         );
 
         // ...and the re-analysis reuses warm rows for the rest.
-        let outcomes = session.analyze(&analyze).outcome.unwrap();
-        let QueryOutcome::StoreAnalyze(warm) = &outcomes[0] else {
-            panic!("expected store_analyze outcome");
-        };
+        let warm = analyze_stored(&session, "grid");
         assert_eq!(warm.version, 2);
         assert!(warm.memo_hits > 0, "unchanged resources hit the memo");
         assert!(
@@ -928,11 +937,8 @@ chain recovery sporadic=1000 overload {
 
         // The delta result agrees with a from-scratch analysis.
         let fresh = Session::new();
-        fresh.analyze(&put(dist(11))).outcome.unwrap();
-        let outcomes = fresh.analyze(&analyze).outcome.unwrap();
-        let QueryOutcome::StoreAnalyze(scratch) = &outcomes[0] else {
-            panic!("expected store_analyze outcome");
-        };
+        fresh.analyze(&put(pipeline(11))).outcome.unwrap();
+        let scratch = analyze_stored(&fresh, "grid");
         assert_eq!(warm.latency, scratch.latency);
         assert_eq!(warm.dmm, scratch.dmm);
 
@@ -965,6 +971,57 @@ chain recovery sporadic=1000 overload {
             session.analyze(&ambiguous).outcome.unwrap_err().kind,
             ApiErrorKind::Request
         );
+    }
+
+    /// Rows live in the session cache, not under a store name: the
+    /// same pipeline stored under a second name is answered entirely
+    /// from the rows the first name's analysis left.
+    #[test]
+    fn rows_carry_across_store_names() {
+        let session = Session::new();
+        session
+            .analyze(&put_dist("a", pipeline(10)))
+            .outcome
+            .unwrap();
+        session
+            .analyze(&put_dist("b", pipeline(10)))
+            .outcome
+            .unwrap();
+        let a = analyze_stored(&session, "a");
+        assert!(a.rows_analyzed > 0);
+        let b = analyze_stored(&session, "b");
+        assert_eq!(b.rows_analyzed, 0, "every row of `b` was analyzed for `a`");
+        assert!(b.memo_hits > 0);
+        assert_eq!(b.latency, a.latency);
+        assert_eq!(b.dmm, a.dmm);
+    }
+
+    /// A cache far smaller than one analysis's rows must still give
+    /// the unbounded answers, and the rows must count against its cap.
+    #[test]
+    fn store_analyze_is_exact_under_a_starved_cache() {
+        let starved = Session::new().with_cache(Arc::new(AnalysisCache::with_capacity(
+            twca_chains::CacheCapacity {
+                max_entries: Some(2),
+                max_bytes: None,
+            },
+        )));
+        let unbounded = Session::new();
+        for tail_wcet in [10, 11, 12, 13] {
+            for session in [&starved, &unbounded] {
+                session
+                    .analyze(&put_dist("grid", pipeline(tail_wcet)))
+                    .outcome
+                    .unwrap();
+            }
+            let got = analyze_stored(&starved, "grid");
+            let want = analyze_stored(&unbounded, "grid");
+            assert_eq!(got.latency, want.latency, "tail wcet {tail_wcet}");
+            assert_eq!(got.dmm, want.dmm, "tail wcet {tail_wcet}");
+        }
+        let stats = starved.cache_stats();
+        assert!(stats.entries <= 2, "resident {} > cap", stats.entries);
+        assert!(stats.evictions > 0, "dist rows must count against the cap");
     }
 
     #[test]

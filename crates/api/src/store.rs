@@ -5,18 +5,20 @@
 //! `store_put` on a name bumps that entry's version and diffs the new
 //! body against the previous one at **resource, chain and task
 //! granularity** ([`StoreDiff`]); every `store_analyze` re-analyzes the
-//! current version **incrementally**: distributed entries keep a
-//! per-entry [`HolisticMemo`] whose rows are keyed by the
-//! fingerprint-and-guard [`twca_chains::SystemKey`] of each resource's
-//! effective system, so an edit invalidates exactly the rows whose
-//! inputs changed — unchanged resources are answered from the memo,
-//! and only the dirty-resource worklist downstream of the edit is
-//! recomputed.
+//! current version **incrementally**: a distributed entry's holistic
+//! latency rows live in the session's shared
+//! [`twca_chains::AnalysisCache`], keyed by the fingerprint-and-guard
+//! [`twca_chains::SystemKey`] of each resource's effective system, so
+//! an edit invalidates exactly the rows whose inputs changed —
+//! unchanged resources (under this name or any other) are answered
+//! from the cache, and only the dirty-resource worklist downstream of
+//! the edit is recomputed. The store itself holds no analysis state;
+//! the cache's capacity and eviction bound the rows.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use twca_dist::{render_distributed, DistributedSystem, HolisticMemo};
+use twca_dist::{render_distributed, DistributedSystem};
 use twca_model::{render_system, System};
 
 use crate::error::{ApiError, ApiErrorKind};
@@ -74,8 +76,7 @@ pub struct PutReceipt {
     pub diff: StoreDiff,
 }
 
-/// One named entry: the current version, its parsed body, and the
-/// warm per-resource analysis rows reused by delta re-analysis.
+/// One named entry: the current version and its parsed body.
 #[derive(Debug)]
 pub(crate) struct StoreEntry {
     pub(crate) version: u64,
@@ -83,13 +84,9 @@ pub(crate) struct StoreEntry {
     /// The body rendered to DSL text — kept only on durable stores,
     /// where snapshots re-emit it without re-rendering.
     pub(crate) text: Option<String>,
-    /// Per-resource holistic rows keyed by effective-system
-    /// [`twca_chains::SystemKey`]; survives puts so unchanged
-    /// resources of the next version hit warm rows.
-    pub(crate) memo: HolisticMemo,
 }
 
-/// Named, versioned systems with per-entry delta-analysis memos.
+/// Named, versioned systems.
 ///
 /// The outer map lock is held only for lookups and insertions; each
 /// entry has its own lock, held for the duration of a put or an
@@ -226,7 +223,6 @@ impl SystemStore {
                         version,
                         body,
                         text: Some(text),
-                        memo: HolisticMemo::new(),
                     })),
                 )
             })
@@ -316,7 +312,6 @@ impl SystemStore {
                             version: 1,
                             body,
                             text: None,
-                            memo: HolisticMemo::new(),
                         })),
                     );
                     return PutReceipt {
@@ -331,9 +326,6 @@ impl SystemStore {
         let diff = diff_bodies(&entry.body, &body);
         entry.version += 1;
         entry.body = body;
-        // The memo is deliberately kept: rows are keyed by the
-        // effective system's fingerprint, so rows of unchanged
-        // resources stay valid and rows of edited ones simply miss.
         PutReceipt {
             name: name.to_owned(),
             version: entry.version,
@@ -398,7 +390,6 @@ impl SystemStore {
                         version,
                         body,
                         text: Some(text),
-                        memo: HolisticMemo::new(),
                     })),
                 );
             }

@@ -21,8 +21,8 @@ use rand_chacha::ChaCha8Rng;
 
 use twca_api::{Json, Session};
 use twca_chains::{
-    busy_times, latency_analysis, typical_slack, AnalysisContext, AnalysisOptions, CombinationSet,
-    DmmSweep, OverloadMode, PreparedCombinations, SolverMode,
+    busy_times, latency_analysis, typical_slack, AnalysisCache, AnalysisContext, AnalysisOptions,
+    CombinationSet, DmmSweep, OverloadMode, PreparedCombinations, SolverMode,
 };
 use twca_dist::DistributedSystemBuilder;
 use twca_gen::{
@@ -1026,12 +1026,12 @@ fn delta_pipeline(resources: usize, tail_wcet: u64) -> twca_dist::DistributedSys
 /// Runs the `--suite delta` workload: memoized holistic re-analysis
 /// after a one-task WCET edit on the 100-resource pipeline, against
 /// the cold full fixed point on the same edited system. The warm side
-/// pops a pre-warmed [`twca_dist::HolisticMemo`] clone per pass, so every timed
-/// pass is a genuine first re-analysis (not an all-hit replay), and
-/// the suite asserts the delta results are bit-identical to the
-/// from-scratch ones before timing anything.
+/// takes a fresh [`AnalysisCache`] warmed on the pre-edit system per
+/// pass, so every timed pass is a genuine first re-analysis (not an
+/// all-hit replay), and the suite asserts the delta results are
+/// bit-identical to the from-scratch ones before timing anything.
 pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
-    use twca_dist::{analyze_with_memo, HolisticMemo};
+    use twca_dist::analyze_with_memo;
 
     let samples = if config.quick { 5 } else { 9 };
     let options = twca_dist::DistOptions {
@@ -1040,17 +1040,16 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
     };
     let base = delta_pipeline(100, 60);
     let edited = delta_pipeline(100, 61);
-
-    // Warm the memo on the pre-edit system, then prove the delta pass
-    // reproduces the from-scratch answer on the edited one.
-    let warm = HolisticMemo::new();
-    let (_, cold_report) = analyze_with_memo(&base, options, &warm).expect("pipeline converges");
-    let fresh_memo = HolisticMemo::new();
+    // The state a store holds when the edit arrives.
+    let warmed = || {
+        let cache = AnalysisCache::new();
+        analyze_with_memo(&base, options, &cache).expect("pipeline converges");
+        cache
+    };
     let (fresh, fresh_report) =
-        analyze_with_memo(&edited, options, &fresh_memo).expect("pipeline converges");
-    let delta_memo = warm.clone();
+        analyze_with_memo(&edited, options, &AnalysisCache::new()).expect("pipeline converges");
     let (delta, delta_report) =
-        analyze_with_memo(&edited, options, &delta_memo).expect("pipeline converges");
+        analyze_with_memo(&edited, options, &warmed()).expect("pipeline converges");
     assert_eq!(
         edited
             .sites()
@@ -1072,27 +1071,26 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
         delta_report.memo_hits > 0,
         "the warm memo produced no hits on the unchanged resources"
     );
-    let _ = cold_report;
 
     let mut entries = vec![calibration_entry(samples)];
     entries.push(BenchEntry {
         id: "delta_reanalysis/cold_full".to_owned(),
         best_ns: best_ns(samples, || {
-            let memo = HolisticMemo::new();
+            let memo = AnalysisCache::new();
             std::hint::black_box(
                 analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
             );
         }),
         samples,
     });
-    // One pre-warmed clone per pass: each timed pass replays the exact
-    // production moment — a store holding the old fixed point receives
-    // the edit and re-analyzes only what changed.
-    let mut warm_clones: Vec<HolisticMemo> = (0..samples).map(|_| warm.clone()).collect();
+    // One warmed cache per pass, built untimed: each timed pass replays
+    // the production moment — a store holding the old fixed point
+    // receives the edit and re-analyzes only what changed.
+    let mut warm_caches: Vec<AnalysisCache> = (0..samples).map(|_| warmed()).collect();
     entries.push(BenchEntry {
         id: "delta_reanalysis/one_task_edit".to_owned(),
         best_ns: best_ns(samples, || {
-            let memo = warm_clones.pop().expect("one clone per sample");
+            let memo = warm_caches.pop().expect("one warmed cache per sample");
             std::hint::black_box(
                 analyze_with_memo(&edited, options, &memo).expect("pipeline converges"),
             );

@@ -25,6 +25,10 @@
 //! with [`AnalysisContext::new`] skip the cache entirely and behave as
 //! before.
 //!
+//! One more map holds whole latency rows ([`AnalysisCache::latency_row`])
+//! for the holistic distributed analysis, under the same guard,
+//! eviction and counters as every other entry.
+//!
 //! The maps are sharded (`dashmap`-style) behind [`std::sync::Mutex`]es
 //! so one `Arc<AnalysisCache>` can be shared by many worker threads of
 //! the batch engine with low contention.
@@ -74,7 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::busy_time::BusyTimeBreakdown;
-use crate::config::SolverMode;
+use crate::config::{AnalysisOptions, SolverMode};
 use crate::latency::{LatencyFailure, LatencyResult, OverloadMode};
 use twca_curves::{ActivationModel, Time};
 use twca_model::{ChainId, System};
@@ -268,6 +272,31 @@ struct LatencyKey {
     max_q: u64,
     solver: u8,
 }
+
+/// Key of one memoized latency row; its scalar inputs are those of a
+/// [`LatencyKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RowKey {
+    sys: SystemFingerprint,
+    horizon: Time,
+    max_q: u64,
+    solver: u8,
+}
+
+impl RowKey {
+    fn new(sys: SystemFingerprint, options: &AnalysisOptions) -> Self {
+        RowKey {
+            sys,
+            horizon: options.horizon,
+            max_q: options.max_q,
+            solver: solver_bit(options.solver),
+        }
+    }
+}
+
+/// Every chain's worst-case latency (Theorem 2, overload included) of
+/// one system, in chain order, with the typed reason of a divergence.
+pub type LatencyRow = Vec<Result<Time, LatencyFailure>>;
 
 /// Key of one memoized overload budget (Lemma 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -574,13 +603,14 @@ pub struct AnalysisCache {
     omega: Sharded<OmegaKey, u64>,
     delta: Sharded<DeltaKey, Time>,
     dmm: Sharded<DmmKey, crate::dmm::DmmResult>,
+    rows: Sharded<RowKey, LatencyRow>,
     budget: CacheBudget,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 /// Number of (map, shard) slots the eviction clock rotates over.
-const CLOCK_SLOTS: usize = 5 * SHARDS;
+const CLOCK_SLOTS: usize = 6 * SHARDS;
 
 impl Default for AnalysisCache {
     fn default() -> Self {
@@ -597,6 +627,7 @@ impl AnalysisCache {
             omega: Sharded::new(),
             delta: Sharded::new(),
             dmm: Sharded::new(),
+            rows: Sharded::new(),
             budget: CacheBudget::unbounded(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -640,6 +671,7 @@ impl AnalysisCache {
         self.omega.clear(&self.budget);
         self.delta.clear(&self.budget);
         self.dmm.clear(&self.budget);
+        self.rows.clear(&self.budget);
     }
 
     fn record(&self, hit: bool) {
@@ -671,7 +703,8 @@ impl AnalysisCache {
                 1 => self.latency.evict_step(&self.budget, shard),
                 2 => self.omega.evict_step(&self.budget, shard),
                 3 => self.delta.evict_step(&self.budget, shard),
-                _ => self.dmm.evict_step(&self.budget, shard),
+                4 => self.dmm.evict_step(&self.budget, shard),
+                _ => self.rows.evict_step(&self.budget, shard),
             };
             match step {
                 EvictStep::Empty => empty_streak += 1,
@@ -818,6 +851,24 @@ impl AnalysisCache {
         Ok(value)
     }
 
+    /// The memoized latency row of `sys` under `options`, counted as a
+    /// hit or a miss; the caller stores a row it had to compute with
+    /// [`AnalysisCache::insert_latency_row`].
+    pub fn latency_row(&self, sys: SystemKey, options: &AnalysisOptions) -> Option<LatencyRow> {
+        let key = RowKey::new(sys.fingerprint, options);
+        let hit = self.rows.get(&key, sys.guard);
+        self.record(hit.is_some());
+        hit
+    }
+
+    /// Stores the latency row of `sys` computed under `options`.
+    pub fn insert_latency_row(&self, sys: SystemKey, options: &AnalysisOptions, row: LatencyRow) {
+        let key = RowKey::new(sys.fingerprint, options);
+        let heap = (row.len() * std::mem::size_of::<Result<Time, LatencyFailure>>()) as u64;
+        self.rows.put(&self.budget, key, sys.guard, row, heap);
+        self.enforce_budget();
+    }
+
     /// Memoizes one `δ−(q)` lookup of a chain's activation curve.
     pub(crate) fn delta_min(
         &self,
@@ -898,6 +949,27 @@ mod tests {
         assert_eq!(cleared.entries, 0);
         assert_eq!(cleared.resident_bytes_est, 0);
         assert_eq!(cleared.evictions, 0, "clears are not evictions");
+    }
+
+    #[test]
+    fn latency_rows_are_counted_and_evicted_like_any_entry() {
+        let cache = AnalysisCache::with_capacity(CacheCapacity {
+            max_entries: Some(1),
+            max_bytes: None,
+        });
+        let options = AnalysisOptions::default();
+        let sys = SystemKey::of(&case_study());
+        assert_eq!(cache.latency_row(sys, &options), None);
+        cache.insert_latency_row(sys, &options, vec![Ok(331), Ok(175)]);
+        assert_eq!(
+            cache.latency_row(sys, &options),
+            Some(vec![Ok(331), Ok(175)])
+        );
+        let other = SystemKey::of(&case_study().with_scaled_overload_wcets(50, 100));
+        cache.insert_latency_row(other, &options, vec![Ok(1)]);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.entries, stats.evictions), (1, 1));
     }
 
     /// Two systems forced onto the same fingerprint (the collision the

@@ -73,7 +73,8 @@ pub use busy_time::{
     busy_time, busy_time_breakdown, busy_time_with_extra, busy_times, BusyTimeBreakdown,
 };
 pub use cache::{
-    AnalysisCache, CacheCapacity, CacheStats, FingerprintGuard, SystemFingerprint, SystemKey,
+    AnalysisCache, CacheCapacity, CacheStats, FingerprintGuard, LatencyRow, SystemFingerprint,
+    SystemKey,
 };
 pub use combinations::{
     Combination, CombinationSet, ItemArena, OverloadSegment, PreparedCombinations,

@@ -5,21 +5,25 @@
 //! busy-window [`twca_chains::SolverMode`] of the chain options): the
 //! default **dirty-resource worklist** re-analyzes only resources whose
 //! effective activation models changed in the previous propagation,
-//! mutates activation updates in place, keeps one memoized analysis
-//! cache alive across sweeps (keyed by the effective systems' activation
-//! fingerprints), and fans ready resources out across threads; the
-//! retained **full-sweep** reference re-analyzes every resource on every
-//! sweep. Both produce byte-identical results — effective systems,
-//! latency bounds, sweep counts and error behavior (the `twca-verify`
-//! `solver-agreement` oracle pins the contract).
+//! mutates activation updates in place, keeps a pass-local map of
+//! latency rows alive across sweeps (keyed by the effective systems'
+//! [`twca_chains::SystemKey`]s), and fans ready resources out across
+//! threads; the retained **full-sweep** reference re-analyzes every
+//! resource on every sweep. Both produce byte-identical results —
+//! effective systems, latency bounds, sweep counts and error behavior
+//! (the `twca-verify` `solver-agreement` oracle pins the contract).
+//!
+//! [`analyze_with_memo`] also reads and fills the latency rows of a
+//! shared [`twca_chains::AnalysisCache`], so a re-analysis after an
+//! edit re-converges only what changed.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use crate::error::DistError;
 use crate::system::{DistributedSystem, ResourceId, SiteId};
 use twca_chains::{
-    deadline_miss_model, AnalysisContext, AnalysisOptions, ChainAnalysis, SolverMode, SystemKey,
+    deadline_miss_model, AnalysisCache, AnalysisContext, AnalysisOptions, ChainAnalysis,
+    LatencyRow, SolverMode, SystemKey,
 };
 use twca_curves::{ActivationModel, EventModel, Time};
 use twca_independent::propagate_output_model;
@@ -218,84 +222,13 @@ fn propagation_parameters(system: &System, chain: twca_model::ChainId, wcl: Time
 ///   reach a fixed point (e.g. heavily loaded feedback through long
 ///   chains); `sweeps` reports the sweeps actually run.
 pub fn analyze(system: &DistributedSystem, options: DistOptions) -> Result<DistResults, DistError> {
-    if options.max_sweeps == 0 {
-        return Err(DistError::ZeroSweeps);
-    }
-    match options.chain_options.solver {
-        SolverMode::SchedulingPoints => {
-            let mut rows = HashMap::new();
-            worklist_pass(system, options, &mut rows).map(|(results, _)| results)
-        }
-        SolverMode::Iterative => analyze_full_sweeps(system, options),
-    }
+    drive(system, options, None).map(|(results, _)| results)
 }
 
-/// Upper bound on retained memo rows before a [`HolisticMemo`] resets
-/// itself: rows of superseded versions linger until then, bounding the
-/// memory of a long edit sequence without any per-row bookkeeping.
-const MEMO_MAX_ROWS: usize = 4_096;
-
-/// A persistent per-resource latency-row memo for **delta re-analysis**:
-/// keep one `HolisticMemo` alive across [`analyze_with_memo`] calls on
-/// successive versions of a system, and only the resources whose
-/// effective activation state actually differs from anything previously
-/// analyzed are re-converged — everything untouched by an edit is
-/// answered from the memo, bit-identically (each row is keyed by the
-/// effective system's [`twca_chains::SystemKey`], fingerprint plus
-/// collision guard, and is a pure function of that system).
-///
-/// The memo self-invalidates when the [`DistOptions`] change and resets
-/// after `MEMO_MAX_ROWS` retained rows. Interior mutability: one memo
-/// can be shared behind an `Arc`, with calls on the same memo
-/// serialized by its lock.
-#[derive(Debug, Default)]
-pub struct HolisticMemo {
-    inner: Mutex<MemoInner>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct MemoInner {
-    /// Options the retained rows were computed under; a call with
-    /// different options resets the memo (rows depend on them).
-    options: Option<DistOptions>,
-    rows: HashMap<SystemKey, WclRow>,
-}
-
-impl Clone for HolisticMemo {
-    fn clone(&self) -> Self {
-        HolisticMemo {
-            inner: Mutex::new(self.inner.lock().expect("holistic memo poisoned").clone()),
-        }
-    }
-}
-
-impl HolisticMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of retained latency rows.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("holistic memo poisoned")
-            .rows
-            .len()
-    }
-
-    /// Whether no rows are retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every retained row (the next analysis runs cold).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("holistic memo poisoned");
-        inner.rows.clear();
-        inner.options = None;
-    }
-}
+/// The memo [`analyze_with_memo`] reads and fills. The alias stays
+/// because the benchmark's `store_edits` workload (`perfbench/`)
+/// names it.
+pub type HolisticMemo = AnalysisCache;
 
 /// Delta telemetry of one [`analyze_with_memo`] run: how much work the
 /// memo saved. Kept out of [`DistResults`] so memoized and from-scratch
@@ -304,16 +237,19 @@ impl HolisticMemo {
 pub struct DeltaReport {
     /// Resource latency rows actually (re-)converged this run.
     pub rows_analyzed: usize,
-    /// Dirty lookups answered from the persistent memo.
+    /// Dirty lookups answered from rows this run or any other user of
+    /// the same memo already converged.
     pub memo_hits: usize,
 }
 
-/// Like [`analyze`], but keeping `memo` warm across calls so a small
-/// edit costs a small re-analysis: after a one-task change, only the
-/// edited resource and the resources its propagation actually reaches
-/// are re-converged. Results are bit-identical to a from-scratch
-/// [`analyze`] of the same system (the `delta-agreement` verify oracle
-/// pins this).
+/// Like [`analyze`], but reading and filling the latency rows of
+/// `memo` so a small edit costs a small re-analysis: after a one-task
+/// change, only the edited resource and the resources its propagation
+/// actually reaches are re-converged. Rows are keyed by the effective
+/// system's [`SystemKey`] and the options they depend on, so any
+/// caller of the same cache can hit them. Results are bit-identical to
+/// a from-scratch [`analyze`] of the same system (the
+/// `delta-agreement` verify oracle pins this).
 ///
 /// Under [`SolverMode::Iterative`] (the full-sweep reference driver)
 /// the memo is bypassed and every resource is analyzed every sweep.
@@ -324,35 +260,37 @@ pub struct DeltaReport {
 pub fn analyze_with_memo(
     system: &DistributedSystem,
     options: DistOptions,
-    memo: &HolisticMemo,
+    memo: &AnalysisCache,
+) -> Result<(DistResults, DeltaReport), DistError> {
+    drive(system, options, Some(memo))
+}
+
+/// Picks the fixed-point driver for [`analyze`] and
+/// [`analyze_with_memo`]; only the worklist reads `memo`.
+fn drive(
+    system: &DistributedSystem,
+    options: DistOptions,
+    memo: Option<&AnalysisCache>,
 ) -> Result<(DistResults, DeltaReport), DistError> {
     if options.max_sweeps == 0 {
         return Err(DistError::ZeroSweeps);
     }
-    if options.chain_options.solver == SolverMode::Iterative {
-        let results = analyze_full_sweeps(system, options)?;
-        let report = DeltaReport {
-            rows_analyzed: system.resources().len() * results.sweeps(),
-            memo_hits: 0,
-        };
-        return Ok((results, report));
+    match options.chain_options.solver {
+        SolverMode::SchedulingPoints => worklist_pass(system, options, memo),
+        SolverMode::Iterative => {
+            let results = analyze_full_sweeps(system, options)?;
+            let rows_analyzed = system.resources().len() * results.sweeps();
+            let report = DeltaReport {
+                rows_analyzed,
+                memo_hits: 0,
+            };
+            Ok((results, report))
+        }
     }
-    let mut inner = memo.inner.lock().expect("holistic memo poisoned");
-    if inner.options != Some(options) || inner.rows.len() > MEMO_MAX_ROWS {
-        inner.rows.clear();
-        inner.options = Some(options);
-    }
-    let MemoInner { rows, .. } = &mut *inner;
-    worklist_pass(system, options, rows)
 }
 
-/// One per-chain worst-case latency row, with the typed divergence
-/// reason of any diverging chain (consumed only if that chain turns out
-/// to be a link source).
-type WclRow = Vec<Result<Time, twca_chains::LatencyFailure>>;
-
 /// Analyzes one effective resource system into its latency row.
-fn wcl_row(local: &System, options: AnalysisOptions) -> WclRow {
+fn wcl_row(local: &System, options: AnalysisOptions) -> LatencyRow {
     let analysis = ChainAnalysis::new(local).with_options(options);
     local
         .iter()
@@ -380,11 +318,17 @@ fn analyze_dirty(
     effective: &[System],
     dirty: &[usize],
     options: AnalysisOptions,
-) -> Vec<(usize, WclRow)> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(dirty.len());
-    if workers <= 1 || dirty.len() < PARALLEL_THRESHOLD {
+) -> Vec<(usize, LatencyRow)> {
+    // Querying the CPU count reads cgroup files, which costs more than
+    // a small sweep's analyses: only ask once fanning out is possible.
+    let workers = if dirty.len() < PARALLEL_THRESHOLD {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(dirty.len())
+    };
+    if workers <= 1 {
         return dirty
             .iter()
             .map(|&i| (i, wcl_row(&effective[i], options)))
@@ -423,23 +367,25 @@ fn analyze_dirty(
 /// sweep may just have rewritten the source's input model). The row
 /// memo keyed by the effective systems' [`twca_chains::SystemKey`]s
 /// (fingerprint plus collision guard, covering the activation models)
-/// survives the whole iteration — and, through
-/// [`analyze_with_memo`], across successive versions of the system —
-/// so a resource whose models revisit an earlier state, identical
-/// resources anywhere in the topology, and resources untouched by an
-/// edit are all answered from the memo instead of re-converging.
+/// survives the whole iteration — and, through `memo`, across
+/// successive versions of the system — so a resource whose models
+/// revisit an earlier state, identical resources anywhere in the
+/// topology, and resources untouched by an edit are all answered from
+/// a memo instead of re-converging. The map is pass-local so a bounded
+/// `memo` cannot evict a row between its insert and its read.
 fn worklist_pass(
     system: &DistributedSystem,
     options: DistOptions,
-    row_memo: &mut HashMap<SystemKey, WclRow>,
+    memo: Option<&AnalysisCache>,
 ) -> Result<(DistResults, DeltaReport), DistError> {
+    let mut row_memo: HashMap<SystemKey, LatencyRow> = HashMap::new();
     let mut effective: Vec<System> = system
         .resources()
         .iter()
         .map(|r| r.system().clone())
         .collect();
     let n = effective.len();
-    let mut wcl: Vec<WclRow> = vec![Vec::new(); n];
+    let mut wcl: Vec<LatencyRow> = vec![Vec::new(); n];
     let mut dirty: Vec<bool> = vec![true; n];
     let mut report = DeltaReport::default();
 
@@ -453,7 +399,12 @@ fn worklist_pass(
             .collect();
         let mut to_analyze: Vec<(usize, SystemKey)> = Vec::with_capacity(keys.len());
         for &(i, key) in &keys {
-            if !row_memo.contains_key(&key) && to_analyze.iter().all(|&(_, k)| k != key) {
+            if row_memo.contains_key(&key) || to_analyze.iter().any(|&(_, k)| k == key) {
+                continue;
+            }
+            if let Some(row) = memo.and_then(|m| m.latency_row(key, &options.chain_options)) {
+                row_memo.insert(key, row);
+            } else {
                 to_analyze.push((i, key));
             }
         }
@@ -465,6 +416,9 @@ fn worklist_pass(
         for ((i, row), &(j, key)) in rows.into_iter().zip(&to_analyze) {
             debug_assert_eq!(i, j);
             let _ = i;
+            if let Some(memo) = memo {
+                memo.insert_latency_row(key, &options.chain_options, row.clone());
+            }
             row_memo.insert(key, row);
         }
         for (i, key) in keys {
@@ -537,7 +491,7 @@ fn analyze_full_sweeps(
 
     for sweep in 1..=options.max_sweeps {
         // Per-resource chain analysis under the current models.
-        let wcl: Vec<Vec<Result<Time, twca_chains::LatencyFailure>>> = effective
+        let wcl: Vec<LatencyRow> = effective
             .iter()
             .map(|local| wcl_row(local, options.chain_options))
             .collect();
@@ -781,7 +735,7 @@ mod tests {
     #[test]
     fn memoized_reanalysis_is_incremental_and_bit_identical() {
         let stages = 12;
-        let memo = HolisticMemo::new();
+        let memo = AnalysisCache::new();
         let options = DistOptions::default();
 
         let v1 = pipeline(stages, None);
@@ -811,27 +765,50 @@ mod tests {
         assert_eq!(again_report.rows_analyzed, 0);
     }
 
-    /// Changing the options invalidates the memo (rows depend on them).
+    /// Rows are keyed by the options they depend on (`horizon`,
+    /// `max_q`, the solver): changing one of those misses, while an
+    /// option no row reads still hits, and rows under both settings
+    /// stay resident side by side.
     #[test]
-    fn memo_resets_when_options_change() {
-        let memo = HolisticMemo::new();
+    fn rows_are_keyed_by_horizon_max_q_and_solver() {
+        let memo = AnalysisCache::new();
         let dist = pipeline(3, None);
         let options = DistOptions::default();
-        let _ = analyze_with_memo(&dist, options, &memo).unwrap();
-        assert!(!memo.is_empty());
+        let (_, cold) = analyze_with_memo(&dist, options, &memo).unwrap();
+        assert!(cold.rows_analyzed > 0);
+        assert!(memo.stats().entries > 0);
+
         let mut tighter = options;
         tighter.chain_options.max_q = options.chain_options.max_q / 2;
         let (_, report) = analyze_with_memo(&dist, tighter, &memo).unwrap();
-        assert!(report.rows_analyzed > 0, "stale rows must not be reused");
-        memo.clear();
-        assert!(memo.is_empty());
+        assert_eq!(report.rows_analyzed, cold.rows_analyzed, "max_q is keyed");
+        let mut shorter = options;
+        shorter.chain_options.horizon = options.chain_options.horizon - 1;
+        let (_, report) = analyze_with_memo(&dist, shorter, &memo).unwrap();
+        assert_eq!(report.rows_analyzed, cold.rows_analyzed, "horizon is keyed");
+
+        let mut unread = options;
+        unread.max_sweeps += 1;
+        unread.chain_options.packing_budget /= 2;
+        let (_, report) = analyze_with_memo(&dist, unread, &memo).unwrap();
+        assert_eq!(report.rows_analyzed, 0, "no row reads these options");
+        let (_, report) = analyze_with_memo(&dist, tighter, &memo).unwrap();
+        assert_eq!(report.rows_analyzed, 0, "rows of both settings stay");
+
+        // The solver is keyed too: a reference-solver lookup of a
+        // resource the production solver converged misses.
+        let key = SystemKey::of(dist.resources()[0].system());
+        assert!(memo.latency_row(key, &options.chain_options).is_some());
+        let mut reference = options.chain_options;
+        reference.solver = SolverMode::Iterative;
+        assert!(memo.latency_row(key, &reference).is_none());
     }
 
     /// The iterative reference driver bypasses the memo but reports
     /// honest telemetry.
     #[test]
     fn iterative_driver_bypasses_the_memo() {
-        let memo = HolisticMemo::new();
+        let memo = AnalysisCache::new();
         let dist = pipeline(3, None);
         let mut options = DistOptions::default();
         options.chain_options.solver = twca_chains::SolverMode::Iterative;
@@ -839,6 +816,10 @@ mod tests {
         assert_eq!(results, analyze(&dist, options).unwrap());
         assert_eq!(report.memo_hits, 0);
         assert_eq!(report.rows_analyzed, 3 * results.sweeps());
-        assert!(memo.is_empty(), "the reference driver must not populate it");
+        assert_eq!(
+            memo.stats().entries,
+            0,
+            "the reference driver must not populate it"
+        );
     }
 }
