@@ -48,9 +48,6 @@ impl QueryEnv<'_> {
 /// uniprocessor analysis) and [`DistBackend`] (the holistic
 /// distributed extension) — the two entry points the façade unifies.
 pub trait Analyze {
-    /// A short backend tag for diagnostics.
-    fn describe(&self) -> &'static str;
-
     /// Answers one query.
     ///
     /// # Errors
@@ -154,10 +151,6 @@ impl<'a> ChainBackend<'a> {
 }
 
 impl Analyze for ChainBackend<'_> {
-    fn describe(&self) -> &'static str {
-        "chains"
-    }
-
     fn query(&self, query: &Query, env: &QueryEnv<'_>) -> Result<QueryOutcome, ApiError> {
         let ctx = self.ctx(env);
         match query {
@@ -396,10 +389,6 @@ impl DistBackend {
 }
 
 impl Analyze for DistBackend {
-    fn describe(&self) -> &'static str {
-        "distributed"
-    }
-
     fn query(&self, query: &Query, env: &QueryEnv<'_>) -> Result<QueryOutcome, ApiError> {
         match query {
             Query::Latency { chain } => {

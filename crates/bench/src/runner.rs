@@ -1,7 +1,6 @@
 //! In-process JSON benchmark runner behind `twca bench`.
 //!
-//! Criterion drives the statistical deep-dives (`cargo bench`); this
-//! runner exists so the perf trajectory of the hot paths is a
+//! This runner makes the perf trajectory of the hot paths a
 //! *committed artifact* (`BENCH_combinations.json`) and a CI gate: it
 //! re-measures the same workloads in seconds, renders them as JSON, and
 //! [`check_against`] fails when a benchmark regresses more than the
@@ -75,10 +74,6 @@ pub struct BenchReport {
     pub quick: bool,
     /// Every measured benchmark.
     pub entries: Vec<BenchEntry>,
-    /// Materialized-vs-lazy best-time ratio on the `overload-heavy`
-    /// combination-engine stage (> 1 means the lazy engine is faster).
-    /// Zero in reports of suites that do not measure it.
-    pub overload_heavy_speedup: f64,
     /// Sustained throughput of the `service_saturation` workload
     /// (service suite only; the regression gate runs on the
     /// `service_saturation/*_ns` entries, this is the headline number).
@@ -97,6 +92,16 @@ impl BenchReport {
         let fast_ns = self.entry(fast)?.best_ns.max(1);
         let slow_ns = self.entry(slow)?.best_ns;
         Some(slow_ns as f64 / fast_ns as f64)
+    }
+
+    /// Materialized-vs-lazy best-time ratio on the `overload-heavy`
+    /// combination-engine stage (> 1 means the lazy engine is faster),
+    /// when the report measured both engines.
+    pub fn overload_heavy_speedup(&self) -> Option<f64> {
+        self.speedup(
+            "overload_heavy/combinations/lazy",
+            "overload_heavy/combinations/materialized",
+        )
     }
 
     /// Renders the wire/artifact form (`BENCH_combinations.json`).
@@ -119,10 +124,6 @@ impl BenchReport {
                         })
                         .collect(),
                 ),
-            ),
-            (
-                "overload_heavy_speedup".to_owned(),
-                Json::Str(format!("{:.2}", self.overload_heavy_speedup)),
             ),
         ]);
         if let Some(rate) = self.service_requests_per_sec {
@@ -151,11 +152,6 @@ impl BenchReport {
         };
         let seed = field("seed")?.as_u64().ok_or("`seed` must be an integer")?;
         let quick = matches!(field("quick")?, Json::Bool(true));
-        let speedup: f64 = field("overload_heavy_speedup")?
-            .as_str()
-            .ok_or("`overload_heavy_speedup` must be a string")?
-            .parse()
-            .map_err(|_| "`overload_heavy_speedup` must parse as a number")?;
         let service_requests_per_sec = match field("service_requests_per_sec") {
             Err(_) => None,
             Ok(value) => Some(
@@ -198,7 +194,6 @@ impl BenchReport {
             seed,
             quick,
             entries,
-            overload_heavy_speedup: speedup,
             service_requests_per_sec,
         })
     }
@@ -223,11 +218,10 @@ impl BenchReport {
                 entry.samples
             );
         }
-        if self.entry("overload_heavy/combinations/lazy").is_some() {
+        if let Some(speedup) = self.overload_heavy_speedup() {
             let _ = writeln!(
                 out,
-                "overload-heavy combination engine: lazy is {:.2}x faster than materialized",
-                self.overload_heavy_speedup
+                "overload-heavy combination engine: lazy is {speedup:.2}x faster than materialized"
             );
         }
         if let Some(rate) = self.service_requests_per_sec {
@@ -371,8 +365,8 @@ fn bench_options() -> AnalysisOptions {
 }
 
 /// A victim chain plus `overloads` overload chains, each with
-/// `segments_per_chain` active segments — the ablation shape shared
-/// with `cargo bench ablation_combinations`.
+/// `segments_per_chain` active segments — the shape of the
+/// `ablation_combinations/*` entries.
 pub fn system_with_overloads(overloads: usize, segments_per_chain: usize) -> System {
     let mut builder = SystemBuilder::new()
         .chain("victim")
@@ -578,8 +572,8 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     // them (a pure ALU spin would not).
     entries.push(calibration_entry(samples));
 
-    // Ablation grid: the synthetic shapes of `cargo bench
-    // ablation_combinations`, classification stage only.
+    // Ablation grid: synthetic overload shapes, classification stage
+    // only.
     for (overloads, segments) in [(2usize, 4usize), (4, 4)] {
         let sites = combination_sites(vec![system_with_overloads(overloads, segments)], options);
         // Micro workloads repeat per pass so a pass is long enough for
@@ -637,7 +631,6 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         best_ns: mat_ns,
         samples,
     });
-    let overload_heavy_speedup = mat_ns as f64 / lazy_ns.max(1) as f64;
 
     // Table II reproduction: the case-study dmm curve, full pipeline.
     entries.push(BenchEntry {
@@ -658,8 +651,8 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     // Batch engine throughput on one worker: the `twca batch` hot path
     // with the thread fan-out pinned to 1 so the single-threaded
     // calibration entry can normalize it across machines with different
-    // core counts (parallel scaling itself is criterion's
-    // `engine_scaling` bench, not a regression-gated number).
+    // core counts (parallel scaling is perfbench's
+    // `engine.fanout_efficiency`, not a regression-gated number).
     let batch: Vec<System> = {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         (0..16)
@@ -844,7 +837,6 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         seed: config.seed,
         quick: config.quick,
         entries,
-        overload_heavy_speedup,
         service_requests_per_sec: None,
     }
 }
@@ -971,7 +963,6 @@ fn service_bench(
         seed: config.seed,
         quick: config.quick,
         entries,
-        overload_heavy_speedup: 0.0,
         service_requests_per_sec: Some(best_rate),
     }
 }
@@ -1101,7 +1092,6 @@ pub fn run_delta_bench(config: &BenchConfig) -> BenchReport {
         seed: config.seed,
         quick: config.quick,
         entries,
-        overload_heavy_speedup: 0.0,
         service_requests_per_sec: None,
     }
 }
@@ -1260,7 +1250,6 @@ pub fn run_persist_bench(config: &BenchConfig) -> BenchReport {
         seed: config.seed,
         quick: config.quick,
         entries,
-        overload_heavy_speedup: 0.0,
         service_requests_per_sec: None,
     }
 }
@@ -1314,18 +1303,20 @@ pub fn check_against(current: &BenchReport, baseline: &BenchReport, tolerance: f
         }
     }
     // The overload-heavy contract only applies to reports that measured
-    // it (the service suite, say, has no combination-engine entries).
-    if baseline.entry("overload_heavy/combinations/lazy").is_some() {
-        if current.overload_heavy_speedup < baseline.overload_heavy_speedup / tolerance {
+    // it (the service suite, say, has no combination-engine entries); a
+    // current report missing the entries was flagged as "disappeared".
+    if let (Some(speedup), Some(base)) = (
+        current.overload_heavy_speedup(),
+        baseline.overload_heavy_speedup(),
+    ) {
+        if speedup < base / tolerance {
             regressions.push(format!(
-                "overload-heavy speedup collapsed: {:.2}x vs baseline {:.2}x",
-                current.overload_heavy_speedup, baseline.overload_heavy_speedup
+                "overload-heavy speedup collapsed: {speedup:.2}x vs baseline {base:.2}x"
             ));
         }
-        if current.overload_heavy_speedup < 5.0 {
+        if speedup < 5.0 {
             regressions.push(format!(
-                "overload-heavy speedup below the 5x contract: {:.2}x",
-                current.overload_heavy_speedup
+                "overload-heavy speedup below the 5x contract: {speedup:.2}x"
             ));
         }
     }
@@ -1372,7 +1363,6 @@ mod tests {
                     samples: 3,
                 },
             ],
-            overload_heavy_speedup: 12.5,
             service_requests_per_sec: None,
         };
         let json = report.to_json().to_string();
@@ -1384,7 +1374,7 @@ mod tests {
 
     #[test]
     fn regression_check_scales_by_calibration_and_flags_slowdowns() {
-        let mk = |spin: u64, work: u64, speedup: f64| BenchReport {
+        let mk = |spin: u64, work: u64, speedup: u64| BenchReport {
             seed: 1,
             quick: true,
             entries: vec![
@@ -1404,18 +1394,59 @@ mod tests {
                     best_ns: work,
                     samples: 3,
                 },
+                BenchEntry {
+                    id: "overload_heavy/combinations/materialized".into(),
+                    best_ns: work * speedup,
+                    samples: 3,
+                },
             ],
-            overload_heavy_speedup: speedup,
             service_requests_per_sec: None,
         };
-        let baseline = mk(1_000, 10_000, 50.0);
+        let baseline = mk(1_000, 10_000, 50);
         // Twice-slower machine, work scaled accordingly: clean.
-        assert!(check_against(&mk(2_000, 20_000, 50.0), &baseline, 1.5).is_empty());
+        assert!(check_against(&mk(2_000, 20_000, 50), &baseline, 1.5).is_empty());
         // Same machine, work 2x slower: regression.
-        assert!(!check_against(&mk(1_000, 20_001, 50.0), &baseline, 1.5).is_empty());
+        assert!(!check_against(&mk(1_000, 20_001, 50), &baseline, 1.5).is_empty());
         // Speedup collapse and sub-contract speedups are caught.
-        assert!(!check_against(&mk(1_000, 10_000, 20.0), &baseline, 1.5).is_empty());
-        assert!(!check_against(&mk(1_000, 10_000, 4.0), &baseline, 1.5).is_empty());
+        assert!(!check_against(&mk(1_000, 10_000, 20), &baseline, 1.5).is_empty());
+        assert!(!check_against(&mk(1_000, 10_000, 4), &baseline, 1.5).is_empty());
+    }
+
+    #[test]
+    fn overload_heavy_gates_derive_from_the_entries() {
+        // A baseline carries no stored speedup: both gates read the
+        // lazy/materialized entries of each report.
+        let baseline = BenchReport::from_json(
+            &Json::parse(
+                r#"{"schema": 1, "seed": 42, "quick": false, "benchmarks": [
+                    {"id": "calibration/spin", "best_ns": 1000, "samples": 3},
+                    {"id": "overload_heavy/combinations/lazy", "best_ns": 1000, "samples": 3},
+                    {"id": "overload_heavy/combinations/materialized", "best_ns": 100000,
+                     "samples": 3}]}"#,
+            )
+            .expect("valid json"),
+        )
+        .expect("a baseline without `overload_heavy_speedup` parses");
+        assert_eq!(baseline.overload_heavy_speedup(), Some(100.0));
+        assert!(check_against(&baseline, &baseline, 1.5).is_empty());
+        let with_materialized_ns = |ns: u64| {
+            let mut report = baseline.clone();
+            report.entries[2].best_ns = ns;
+            check_against(&report, &baseline, 1.5)
+        };
+        // 20x: collapsed below 100x / 1.5, still above the 5x floor.
+        assert_eq!(
+            with_materialized_ns(20_000),
+            ["overload-heavy speedup collapsed: 20.00x vs baseline 100.00x"]
+        );
+        // 4x: both findings.
+        assert_eq!(
+            with_materialized_ns(4_000),
+            [
+                "overload-heavy speedup collapsed: 4.00x vs baseline 100.00x",
+                "overload-heavy speedup below the 5x contract: 4.00x",
+            ]
+        );
     }
 
     #[test]
@@ -1435,7 +1466,6 @@ mod tests {
                     samples: 3,
                 },
             ],
-            overload_heavy_speedup: 0.0,
             service_requests_per_sec: None,
         };
         let baseline = mk(12_000);
@@ -1460,7 +1490,7 @@ mod tests {
         // and time-shared under `cargo test`. run_bench itself asserts
         // the engines *agree* on the workload (deterministic), and the
         // release-mode CI bench step gates the speedup contract.
-        assert!(report.overload_heavy_speedup.is_finite());
+        assert!(report.overload_heavy_speedup().is_some_and(f64::is_finite));
     }
 
     #[test]

@@ -2314,7 +2314,6 @@ chain diag sporadic=1500 overload {
                 best_ns,
                 samples: 1,
             }],
-            overload_heavy_speedup: 0.0,
             service_requests_per_sec: None,
         };
         assert!(perf_gate(&report(100), &report(100)).is_ok());

@@ -737,12 +737,12 @@ mod tests {
             let mut b = SystemBuilder::new();
             for i in 0..6 {
                 b = b
-                    .chain(&format!("c{i}"))
+                    .chain(format!("c{i}"))
                     .periodic(40 + 13 * i as u64)
                     .unwrap()
                     .deadline(80)
-                    .task(&format!("a{i}"), (i % 3 + 1) as u32, 3)
-                    .task(&format!("b{i}"), 1, 2)
+                    .task(format!("a{i}"), (i % 3 + 1) as u32, 3)
+                    .task(format!("b{i}"), 1, 2)
                     .done();
             }
             b.build().unwrap()
