@@ -130,6 +130,45 @@ impl From<twca_dist::DistError> for CliError {
     }
 }
 
+/// The argument cursor of every subcommand's flag loop: it yields the
+/// arguments in order and reads a flag's value with the shared usage
+/// errors.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    usage: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], usage: &'a str) -> Self {
+        Flags {
+            rest: args.iter(),
+            usage,
+        }
+    }
+
+    /// The argument after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {}", self.usage)))
+    }
+
+    /// The argument after `flag`, parsed; `what` ends the message
+    /// "`flag` expects …" when it does not parse.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, CliError> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| CliError::Usage(format!("`{flag}` expects {what}")))
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+}
+
 fn load(path: &str) -> Result<System, CliError> {
     let text = std::fs::read_to_string(path)?;
     Ok(parse_system(&text)?)
@@ -248,39 +287,18 @@ impl SimArgs {
             runs: 100,
             horizon: 100_000,
             seed: 0xD1CE,
-            threads: 4,
+            threads: twca_model::available_threads() as u64,
             chain: None,
             json: false,
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--runs" => {
-                    parsed.runs = value_of("--runs")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--runs` expects a run count".into()))?;
-                }
-                "--horizon" => {
-                    parsed.horizon = value_of("--horizon")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--horizon` expects a time bound".into()))?;
-                }
-                "--seed" => {
-                    parsed.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--threads" => {
-                    parsed.threads = value_of("--threads")?.parse().map_err(|_| {
-                        CliError::Usage("`--threads` expects a worker count".into())
-                    })?;
-                }
-                "--chain" => parsed.chain = Some(value_of("--chain")?.clone()),
+        let mut flags = Flags::new(args, Self::USAGE);
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--runs" => parsed.runs = flags.parse("--runs", "a run count")?,
+                "--horizon" => parsed.horizon = flags.parse("--horizon", "a time bound")?,
+                "--seed" => parsed.seed = flags.parse("--seed", "an integer")?,
+                "--threads" => parsed.threads = flags.parse("--threads", "a worker count")?,
+                "--chain" => parsed.chain = Some(flags.value("--chain")?.to_owned()),
                 "--json" => parsed.json = true,
                 flag if flag.starts_with("--") => {
                     return Err(CliError::Usage(format!(
@@ -299,8 +317,9 @@ impl SimArgs {
 
 /// `twca sim`: Monte Carlo simulation through the façade — per-chain
 /// empirical miss rates with 95% confidence intervals, pooled over
-/// `--runs` seeded runs fanned across `--threads` workers. The report
-/// is deterministic in the seed at any thread count.
+/// `--runs` seeded runs fanned across `--threads` workers (default: one
+/// per available core). The report is deterministic in the seed at any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -505,34 +524,19 @@ impl BatchArgs {
             horizon: 2_000_000,
             max_q: 20_000,
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--gen" => {
-                    parsed.generate = value_of("--gen")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--gen` expects a system count".into()))?;
-                }
-                "--seed" => {
-                    parsed.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
+        let mut flags = Flags::new(args, Self::USAGE);
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--gen" => parsed.generate = flags.parse("--gen", "a system count")?,
+                "--seed" => parsed.seed = flags.parse("--seed", "an integer")?,
                 "--profile" => {
-                    parsed.profile = Some(value_of("--profile")?.parse().map_err(CliError::Usage)?);
+                    parsed.profile =
+                        Some(flags.value("--profile")?.parse().map_err(CliError::Usage)?);
                 }
-                "--threads" => {
-                    parsed.threads = Some(value_of("--threads")?.parse().map_err(|_| {
-                        CliError::Usage("`--threads` expects a worker count".into())
-                    })?);
-                }
+                "--threads" => parsed.threads = Some(flags.parse("--threads", "a worker count")?),
                 "--k" => {
-                    parsed.ks = value_of("--k")?
+                    parsed.ks = flags
+                        .value("--k")?
                         .split(',')
                         .map(|s| {
                             s.trim().parse().map_err(|_| {
@@ -541,16 +545,8 @@ impl BatchArgs {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "--horizon" => {
-                    parsed.horizon = value_of("--horizon")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--horizon` expects a time bound".into()))?;
-                }
-                "--max-q" => {
-                    parsed.max_q = value_of("--max-q")?.parse().map_err(|_| {
-                        CliError::Usage("`--max-q` expects an activation count".into())
-                    })?;
-                }
+                "--horizon" => parsed.horizon = flags.parse("--horizon", "a time bound")?,
+                "--max-q" => parsed.max_q = flags.parse("--max-q", "an activation count")?,
                 "--json" => parsed.json = true,
                 "--progress" => parsed.progress = true,
                 flag if flag.starts_with("--") => {
@@ -712,79 +708,34 @@ impl ServeArgs {
             idle_timeout_ms: None,
             write_buffer: None,
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--file" => parsed.file = Some(value_of("--file")?.clone()),
-                "--budget" => {
-                    parsed.budget =
-                        Some(value_of("--budget")?.parse().map_err(|_| {
-                            CliError::Usage("`--budget` expects a unit count".into())
-                        })?);
-                }
-                "--horizon" => {
-                    parsed.horizon =
-                        Some(value_of("--horizon")?.parse().map_err(|_| {
-                            CliError::Usage("`--horizon` expects a time bound".into())
-                        })?);
-                }
-                "--max-q" => {
-                    parsed.max_q = Some(value_of("--max-q")?.parse().map_err(|_| {
-                        CliError::Usage("`--max-q` expects an activation count".into())
-                    })?);
-                }
-                "--listen" => parsed.listen = Some(value_of("--listen")?.clone()),
-                "--workers" => {
-                    parsed.workers = Some(value_of("--workers")?.parse().map_err(|_| {
-                        CliError::Usage("`--workers` expects a thread count".into())
-                    })?);
-                }
-                "--queue" => {
-                    parsed.queue = Some(value_of("--queue")?.parse().map_err(|_| {
-                        CliError::Usage("`--queue` expects a queue capacity".into())
-                    })?);
-                }
+        let mut flags = Flags::new(args, Self::USAGE);
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--file" => parsed.file = Some(flags.value("--file")?.to_owned()),
+                "--budget" => parsed.budget = Some(flags.parse("--budget", "a unit count")?),
+                "--horizon" => parsed.horizon = Some(flags.parse("--horizon", "a time bound")?),
+                "--max-q" => parsed.max_q = Some(flags.parse("--max-q", "an activation count")?),
+                "--listen" => parsed.listen = Some(flags.value("--listen")?.to_owned()),
+                "--workers" => parsed.workers = Some(flags.parse("--workers", "a thread count")?),
+                "--queue" => parsed.queue = Some(flags.parse("--queue", "a queue capacity")?),
                 "--deadline-ms" => {
-                    parsed.deadline_ms =
-                        Some(value_of("--deadline-ms")?.parse().map_err(|_| {
-                            CliError::Usage("`--deadline-ms` expects milliseconds".into())
-                        })?);
+                    parsed.deadline_ms = Some(flags.parse("--deadline-ms", "milliseconds")?)
                 }
                 "--cache-entries" => {
-                    parsed.cache_entries =
-                        Some(value_of("--cache-entries")?.parse().map_err(|_| {
-                            CliError::Usage("`--cache-entries` expects an entry count".into())
-                        })?);
+                    parsed.cache_entries = Some(flags.parse("--cache-entries", "an entry count")?)
                 }
                 "--cache-bytes" => {
-                    parsed.cache_bytes =
-                        Some(value_of("--cache-bytes")?.parse().map_err(|_| {
-                            CliError::Usage("`--cache-bytes` expects a byte budget".into())
-                        })?);
+                    parsed.cache_bytes = Some(flags.parse("--cache-bytes", "a byte budget")?)
                 }
-                "--store-dir" => parsed.store_dir = Some(value_of("--store-dir")?.clone()),
+                "--store-dir" => parsed.store_dir = Some(flags.value("--store-dir")?.to_owned()),
                 "--read-timeout" => {
-                    parsed.read_timeout_ms =
-                        Some(value_of("--read-timeout")?.parse().map_err(|_| {
-                            CliError::Usage("`--read-timeout` expects milliseconds".into())
-                        })?);
+                    parsed.read_timeout_ms = Some(flags.parse("--read-timeout", "milliseconds")?)
                 }
                 "--idle-timeout" => {
-                    parsed.idle_timeout_ms =
-                        Some(value_of("--idle-timeout")?.parse().map_err(|_| {
-                            CliError::Usage("`--idle-timeout` expects milliseconds".into())
-                        })?);
+                    parsed.idle_timeout_ms = Some(flags.parse("--idle-timeout", "milliseconds")?)
                 }
                 "--write-buffer" => {
-                    parsed.write_buffer =
-                        Some(value_of("--write-buffer")?.parse().map_err(|_| {
-                            CliError::Usage("`--write-buffer` expects a byte budget".into())
-                        })?);
+                    parsed.write_buffer = Some(flags.parse("--write-buffer", "a byte budget")?)
                 }
                 flag => {
                     return Err(CliError::Usage(format!(
@@ -1047,53 +998,27 @@ pub fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
     let mut config = twca_service::LoadgenConfig::default();
     let mut json = false;
     let mut expect_clean = false;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
-            "--connect" => addr = Some(value_of("--connect")?.clone()),
-            "--streams" => {
-                config.streams = value_of("--streams")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--streams` expects a count".into()))?;
-            }
-            "--requests" => {
-                config.requests_per_stream = value_of("--requests")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--requests` expects a count".into()))?;
-            }
-            "--connections" => {
-                config.connections = value_of("--connections")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--connections` expects a count".into()))?;
-            }
+    let mut flags = Flags::new(args, USAGE);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--connect" => addr = Some(flags.value("--connect")?.to_owned()),
+            "--streams" => config.streams = flags.parse("--streams", "a count")?,
+            "--requests" => config.requests_per_stream = flags.parse("--requests", "a count")?,
+            "--connections" => config.connections = flags.parse("--connections", "a count")?,
             "--mix" => {
-                let name = value_of("--mix")?;
+                let name = flags.value("--mix")?;
                 config.mix = twca_service::RequestMix::parse(name).ok_or_else(|| {
                     CliError::Usage(format!(
                         "`--mix` must be chain, dist, mixed or store, not `{name}`"
                     ))
                 })?;
             }
-            "--seed" => {
-                config.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-            }
+            "--seed" => config.seed = flags.parse("--seed", "an integer")?,
             "--retry" => {
-                let attempts = value_of("--retry")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--retry` expects an attempt count".into()))?;
+                let attempts = flags.parse("--retry", "an attempt count")?;
                 config.retry = Some(twca_service::RetryPolicy::with_attempts(attempts));
             }
-            "--reset-ppm" => {
-                config.reset_ppm = value_of("--reset-ppm")?.parse().map_err(|_| {
-                    CliError::Usage("`--reset-ppm` expects parts-per-million".into())
-                })?;
-            }
+            "--reset-ppm" => config.reset_ppm = flags.parse("--reset-ppm", "parts-per-million")?,
             "--server-stats" => config.fetch_stats = true,
             "--json" => json = true,
             "--expect-clean" => expect_clean = true,
@@ -1142,24 +1067,12 @@ pub fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut addr: Option<String> = None;
     let mut schedules: u64 = 20;
     let mut seed: u64 = 0xC4A0;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
-            "--connect" => addr = Some(value_of("--connect")?.clone()),
-            "--schedules" => {
-                schedules = value_of("--schedules")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--schedules` expects a count".into()))?;
-            }
-            "--seed" => {
-                seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-            }
+    let mut flags = Flags::new(args, USAGE);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--connect" => addr = Some(flags.value("--connect")?.to_owned()),
+            "--schedules" => schedules = flags.parse("--schedules", "a count")?,
+            "--seed" => seed = flags.parse("--seed", "an integer")?,
             flag => {
                 return Err(CliError::Usage(format!(
                     "unknown chaos flag `{flag}`; {USAGE}"
@@ -1291,15 +1204,12 @@ pub fn cmd_dist(args: &[String]) -> Result<String, CliError> {
     let mut ks: Vec<u64> = vec![1, 10, 100];
     let mut path: Option<Vec<twca_api::SiteSpec>> = None;
     let mut json = false;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |flag: &str| {
-            rest.next()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value; {USAGE}")))
-        };
-        match arg.as_str() {
+    let mut flags = Flags::new(args, USAGE);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--k" => {
-                ks = value_of("--k")?
+                ks = flags
+                    .value("--k")?
                     .split(',')
                     .map(|t| {
                         t.trim()
@@ -1310,7 +1220,8 @@ pub fn cmd_dist(args: &[String]) -> Result<String, CliError> {
             }
             "--path" => {
                 path = Some(
-                    value_of("--path")?
+                    flags
+                        .value("--path")?
                         .split(',')
                         .map(|t| twca_api::SiteSpec::parse(t.trim()).map_err(CliError::Api))
                         .collect::<Result<_, _>>()?,
@@ -1418,28 +1329,13 @@ impl FuzzArgs {
             iterations: 200,
             ..twca_verify::FuzzConfig::default()
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
-                "--seed" => {
-                    config.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--iters" => {
-                    config.iterations = value_of("--iters")?.parse().map_err(|_| {
-                        CliError::Usage("`--iters` expects an iteration count".into())
-                    })?;
-                }
+        let mut flags = Flags::new(args, Self::USAGE);
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--seed" => config.seed = flags.parse("--seed", "an integer")?,
+                "--iters" => config.iterations = flags.parse("--iters", "an iteration count")?,
                 "--budget" => {
-                    let seconds: f64 = value_of("--budget")?.parse().map_err(|_| {
-                        CliError::Usage("`--budget` expects seconds (fractions allowed)".into())
-                    })?;
+                    let seconds: f64 = flags.parse("--budget", "seconds (fractions allowed)")?;
                     if !seconds.is_finite() || seconds < 0.0 {
                         return Err(CliError::Usage(
                             "`--budget` expects a finite, non-negative number of seconds".into(),
@@ -1448,7 +1344,8 @@ impl FuzzArgs {
                     config.time_budget = Some(std::time::Duration::from_secs_f64(seconds));
                 }
                 "--profile" => {
-                    config.profiles = value_of("--profile")?
+                    config.profiles = flags
+                        .value("--profile")?
                         .split(',')
                         .map(|p| {
                             twca_verify::ScenarioProfile::parse(p.trim()).map_err(CliError::Usage)
@@ -1456,7 +1353,8 @@ impl FuzzArgs {
                         .collect::<Result<_, _>>()?;
                 }
                 "--k" => {
-                    config.verify.ks = value_of("--k")?
+                    config.verify.ks = flags
+                        .value("--k")?
                         .split(',')
                         .map(|s| {
                             s.trim().parse().map_err(|_| {
@@ -1466,12 +1364,10 @@ impl FuzzArgs {
                         .collect::<Result<_, _>>()?;
                 }
                 "--horizon" => {
-                    config.verify.horizon = value_of("--horizon")?.parse().map_err(|_| {
-                        CliError::Usage("`--horizon` expects a simulation horizon".into())
-                    })?;
+                    config.verify.horizon = flags.parse("--horizon", "a simulation horizon")?
                 }
                 "--corpus" => {
-                    config.corpus_dir = Some(value_of("--corpus")?.into());
+                    config.corpus_dir = Some(flags.value("--corpus")?.into());
                 }
                 "--no-shrink" => config.shrink = false,
                 flag => {
@@ -1579,25 +1475,16 @@ impl BenchCliArgs {
             check: None,
             suite: BenchSuite::Core,
         };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let mut value_of = |flag: &str| {
-                rest.next().ok_or_else(|| {
-                    CliError::Usage(format!("{flag} needs a value; {}", Self::USAGE))
-                })
-            };
-            match arg.as_str() {
+        let mut flags = Flags::new(args, Self::USAGE);
+        while let Some(arg) = flags.next() {
+            match arg {
                 "--json" => parsed.json = true,
                 "--quick" => parsed.config.quick = true,
-                "--seed" => {
-                    parsed.config.seed = value_of("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("`--seed` expects an integer".into()))?;
-                }
-                "--out" => parsed.out = Some(value_of("--out")?.clone()),
-                "--check" => parsed.check = Some(value_of("--check")?.clone()),
+                "--seed" => parsed.config.seed = flags.parse("--seed", "an integer")?,
+                "--out" => parsed.out = Some(flags.value("--out")?.to_owned()),
+                "--check" => parsed.check = Some(flags.value("--check")?.to_owned()),
                 "--suite" => {
-                    parsed.suite = match value_of("--suite")?.as_str() {
+                    parsed.suite = match flags.value("--suite")? {
                         "core" => BenchSuite::Core,
                         "service" => BenchSuite::Service,
                         "delta" => BenchSuite::Delta,

@@ -27,7 +27,7 @@ use twca_chains::{
 };
 use twca_curves::{ActivationModel, EventModel, Time};
 use twca_independent::propagate_output_model;
-use twca_model::System;
+use twca_model::{available_threads, fan_out, System};
 
 /// Options of the distributed analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,50 +310,6 @@ fn wcl_row(local: &System, options: AnalysisOptions) -> LatencyRow {
 /// this, thread setup costs more than the analyses.
 const PARALLEL_THRESHOLD: usize = 4;
 
-/// Analyzes the dirty resources, fanning out across threads when the
-/// ready set is wide (star/tree topologies). Results are ordered by
-/// resource index and bit-identical to the serial path — each row is a
-/// pure function of its effective system.
-fn analyze_dirty(
-    effective: &[System],
-    dirty: &[usize],
-    options: AnalysisOptions,
-) -> Vec<(usize, LatencyRow)> {
-    // Querying the CPU count reads cgroup files, which costs more than
-    // a small sweep's analyses: only ask once fanning out is possible.
-    let workers = if dirty.len() < PARALLEL_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(dirty.len())
-    };
-    if workers <= 1 {
-        return dirty
-            .iter()
-            .map(|&i| (i, wcl_row(&effective[i], options)))
-            .collect();
-    }
-    let chunk = dirty.len().div_ceil(workers);
-    let mut rows = Vec::with_capacity(dirty.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = dirty
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|&i| (i, wcl_row(&effective[i], options)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            rows.extend(handle.join().expect("worklist worker panicked"));
-        }
-    });
-    rows
-}
-
 /// The incremental driver: a dirty-resource worklist over the link
 /// graph. A resource is dirty when its effective activation models
 /// changed in the previous propagation (all resources start dirty);
@@ -410,12 +366,17 @@ fn worklist_pass(
         }
         report.rows_analyzed += to_analyze.len();
         report.memo_hits += keys.len() - to_analyze.len();
-        let misses: Vec<usize> = to_analyze.iter().map(|&(i, _)| i).collect();
-        let rows = analyze_dirty(&effective, &misses, options.chain_options);
-        debug_assert_eq!(rows.len(), to_analyze.len());
-        for ((i, row), &(j, key)) in rows.into_iter().zip(&to_analyze) {
-            debug_assert_eq!(i, j);
-            let _ = i;
+        // Fan wide ready sets (star/tree topologies) out across threads;
+        // each row is a pure function of its effective system.
+        let wide = to_analyze.len() >= PARALLEL_THRESHOLD;
+        let threads = if wide { available_threads() } else { 1 };
+        let rows = fan_out(
+            to_analyze.len(),
+            threads,
+            || (),
+            |_, j| wcl_row(&effective[to_analyze[j].0], options.chain_options),
+        );
+        for (row, &(_, key)) in rows.into_iter().zip(&to_analyze) {
             if let Some(memo) = memo {
                 memo.insert_latency_row(key, &options.chain_options, row.clone());
             }

@@ -6,8 +6,8 @@
 //! (Theorem 2), then deadline miss models over a set of window lengths
 //! (Theorem 3). This crate turns that loop into a front end that
 //!
-//! * **fans out** across CPU cores with deterministic, input-ordered
-//!   results — the parallel output is bit-identical to the serial one;
+//! * **fans out** across CPU cores ([`twca_model::fan_out`]) with
+//!   deterministic, input-ordered results, bit-identical to serial ones;
 //! * **memoizes** the expensive sub-computations (busy-window fixed
 //!   points, latency analyses, overload budgets, distance lookups) in a
 //!   shared [`AnalysisCache`], so repeated work across similar systems
@@ -48,12 +48,12 @@ pub use json::batch_to_json;
 pub use report::{ChainVerdict, SystemVerdict};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use twca_api::Session;
 use twca_chains::AnalysisOptions;
 pub use twca_chains::{AnalysisCache, CacheStats};
-use twca_model::System;
+use twca_model::{available_threads, fan_out, System};
 
 /// Progress observer: called with `(completed, total)` after every
 /// finished system.
@@ -95,7 +95,7 @@ impl BatchEngine {
         }
     }
 
-    /// Sets the number of worker threads (`1` forces the serial path).
+    /// Sets the number of worker threads (`1` runs on the calling thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -150,8 +150,7 @@ impl BatchEngine {
 
     /// Worker count the next [`BatchEngine::run`] will use.
     pub fn effective_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        self.threads.unwrap_or_else(available_threads)
     }
 
     /// Analyzes every system, fanning out across
@@ -163,42 +162,21 @@ impl BatchEngine {
     /// returns values equal to what recomputation would produce.
     pub fn run(&self, systems: impl IntoIterator<Item = System>) -> Vec<SystemVerdict> {
         let jobs: Vec<System> = systems.into_iter().collect();
-        let threads = self.effective_threads().min(jobs.len().max(1));
-        if threads <= 1 {
-            return self.run_serial(jobs);
-        }
-
         let total = jobs.len();
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SystemVerdict>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let verdict = self.analyze_one(index, &jobs[index]);
-                    *slots[index].lock().expect("result slot poisoned") = Some(verdict);
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = &self.progress {
-                        progress(completed, total);
-                    }
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index was claimed by a worker")
-            })
-            .collect()
+        fan_out(
+            total,
+            self.effective_threads(),
+            || (),
+            |_, index| {
+                let verdict = self.analyze_one(index, &jobs[index]);
+                let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if let Some(progress) = &self.progress {
+                    progress(completed, total);
+                }
+                verdict
+            },
+        )
     }
 
     /// Analyzes every system on the calling thread, still going through

@@ -52,6 +52,7 @@ mod case_study;
 mod chain;
 mod dot;
 mod error;
+mod fanout;
 mod ids;
 mod parse;
 pub mod segments;
@@ -66,6 +67,7 @@ pub use case_study::{
 pub use chain::{Chain, ChainKind};
 pub use dot::render_dot;
 pub use error::ModelError;
+pub use fanout::{available_threads, fan_out};
 pub use ids::{ChainId, Priority, TaskRef};
 pub use parse::{parse_system, render_system, ParseError};
 pub use segments::{ActiveSegment, InterferenceClass, Segment, SegmentView};

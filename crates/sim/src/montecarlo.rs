@@ -1,13 +1,12 @@
 //! Parallel Monte Carlo simulation: empirical miss-rate curves with
 //! confidence intervals.
 //!
-//! The driver fans a batch of seeded runs across worker threads using
-//! the same pattern as `twca-engine`'s batch fan-out: an atomic work
-//! index hands out run indices, every run's totals land in an
-//! input-ordered slot, and the final aggregation folds integer totals in
-//! run order — so the report is **bit-identical for any thread count**.
-//! Each worker owns one reusable [`SimArena`], keeping the hot loop
-//! allocation-free.
+//! The driver fans a batch of seeded runs across worker threads with
+//! [`twca_model::fan_out`], the fan-out `twca-engine`'s batch engine
+//! also uses: every run's totals come back in run order, and the final
+//! aggregation folds integer totals in that order — so the report is
+//! **bit-identical for any thread count**. Each worker owns one
+//! reusable [`SimArena`], keeping the hot loop allocation-free.
 //!
 //! Every run derives its activation traces from the batched max-rate
 //! trace by transformations that provably preserve event-model
@@ -22,15 +21,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::engine::{ExecutionPolicy, SimEngineMode, Simulation};
 use crate::event_queue::{self, SimArena};
 use crate::metrics::{max_misses_in_flag_window, InstanceRecord};
 use crate::trace::{batched_max_rate_trace, Trace};
 use twca_curves::{EventModel, Time};
-use twca_model::System;
+use twca_model::{fan_out, System};
 
 /// The house seed-mixing constant (golden-ratio increment), matching the
 /// per-iteration derivation of the fuzz harness.
@@ -229,7 +226,6 @@ impl<'a> MonteCarlo<'a> {
     /// bit-identical report.
     pub fn run(&self) -> MonteCarloReport {
         let cfg = &self.config;
-        let runs = cfg.runs as usize;
         let base: Vec<Trace> = self
             .system
             .chains()
@@ -237,29 +233,12 @@ impl<'a> MonteCarlo<'a> {
             .map(|c| batched_max_rate_trace(c.activation(), cfg.horizon))
             .collect();
 
-        let slots: Vec<Mutex<Option<RunTotals>>> = (0..runs).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let worker = || {
-            let mut worker = Worker::new(self.system, cfg, &base);
-            loop {
-                let run = next.fetch_add(1, Ordering::Relaxed);
-                if run >= runs {
-                    break;
-                }
-                let totals = worker.simulate(run);
-                *slots[run].lock().expect("slot lock poisoned") = Some(totals);
-            }
-        };
-        let threads = cfg.threads.clamp(1, runs.max(1));
-        if threads <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(worker);
-                }
-            });
-        }
+        let per_run = fan_out(
+            cfg.runs as usize,
+            cfg.threads,
+            || Worker::new(self.system, cfg, &base),
+            Worker::simulate,
+        );
 
         let mut chains: Vec<ChainMissProfile> = self
             .system
@@ -274,11 +253,7 @@ impl<'a> MonteCarlo<'a> {
                 window_misses: cfg.ks.iter().map(|&k| (k, 0)).collect(),
             })
             .collect();
-        for slot in slots {
-            let totals = slot
-                .into_inner()
-                .expect("slot lock poisoned")
-                .expect("every run index was claimed by a worker");
+        for totals in per_run {
             for (profile, t) in chains.iter_mut().zip(totals) {
                 profile.instances += t.completed;
                 profile.misses += t.misses;
